@@ -364,6 +364,57 @@ def _no_blocking_in_handler(ctx: FileContext):
             }
 
 
+#: The one function under repro/serve that may put response bytes on
+#: the socket, and the calls that do.
+_RESPONSE_WRITER = "_send"
+_HEADER_WRITES = frozenset({"end_headers", "flush_headers"})
+
+
+def _is_socket_write(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr in _HEADER_WRITES:
+        return True
+    receiver = node.func.value
+    return node.func.attr == "write" and (
+        getattr(receiver, "attr", None) == "wfile"
+        or getattr(receiver, "id", None) == "wfile"
+    )
+
+
+@rule(
+    "py.serve-single-write",
+    "a response written in pieces (headers, then body) waits out Nagle's "
+    "algorithm against the client's delayed ACK, ~40 ms per keep-alive "
+    "response; under repro/serve only the response writer _send() may "
+    "call .wfile.write(), .end_headers() or .flush_headers(), and only "
+    "once",
+)
+def _serve_single_write(ctx: FileContext):
+    if not str(ctx.path).startswith(_HANDLER_ROOT):
+        return
+    allowed = set()
+    for fn in ast.walk(ctx.tree):
+        if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name == _RESPONSE_WRITER):
+            writes = sorted(
+                (n for n in ast.walk(fn) if _is_socket_write(n)),
+                key=lambda n: (n.lineno, n.col_offset),
+            )
+            allowed.update(id(n) for n in writes[:1])
+    for node in ast.walk(ctx.tree):
+        if _is_socket_write(node) and id(node) not in allowed:
+            yield node, (
+                f"{ast.unparse(node.func)}() outside the single write "
+                f"of {_RESPONSE_WRITER}()"
+            ), {
+                "replace_with": f"self.{_RESPONSE_WRITER}(status, data, "
+                                "content_type)",
+                "waiver": "# noqa: serve-single-write",
+            }
+
+
 #: Legal metric name: lowercase dot-namespaced, ``subsystem.name`` with
 #: at least one dot (``serve.latency_ms``, ``llm.breaker.transitions``).
 _METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")

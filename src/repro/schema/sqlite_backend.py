@@ -70,9 +70,12 @@ def create_sqlite(database: Database, path: str = ":memory:") -> sqlite3.Connect
 
     The connection is created with ``check_same_thread=False`` so an
     executor's internal lock — not sqlite3's import-thread check — is
-    what serializes cross-thread use.
+    what serializes cross-thread use.  It keeps no prepared-statement
+    cache: :class:`SQLiteExecutor` caches results by SQL text, so a
+    statement reaches SQLite once while its result is cached, and each
+    cached statement would only hold a few KiB of memory per query.
     """
-    conn = sqlite3.connect(path, check_same_thread=False)
+    conn = sqlite3.connect(path, check_same_thread=False, cached_statements=0)
     conn.execute("PRAGMA foreign_keys = OFF")
     for table in database.schema.tables:
         cols = []

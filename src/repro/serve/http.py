@@ -24,15 +24,20 @@ The three live-telemetry GET routes answer 501 when the service was
 built without a :class:`~repro.obs.live.LiveTelemetry` layer.
 
 Every error is an :class:`~repro.api.types.ErrorEnvelope` with the HTTP
-status it names.  The handler speaks HTTP/1.1 with keep-alive so
-closed-loop load generators reuse connections, and stays silent on
-stdout/stderr (request logging goes through the service's observer, not
-``BaseHTTPRequestHandler.log_message``).
+status it names, the stdlib's own protocol errors included.  The handler
+speaks HTTP/1.1 with keep-alive so closed-loop load generators reuse
+connections, and stays silent on stdout/stderr (request logging goes
+through the service's observer, and a client hanging up is no error).
+
+Each response leaves in one write on a ``TCP_NODELAY`` socket.  A head
+and body written apart make Nagle's algorithm hold the body for the
+client's delayed ACK: ~40 ms per keep-alive response on Linux.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -56,6 +61,8 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     sys_version = ""
+    #: ``StreamRequestHandler.setup`` sets TCP_NODELAY on the socket.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -66,46 +73,65 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> NL2SQLService:
         return self.server.service
 
-    def _send_json(self, status: int, payload) -> None:
-        body = payload if isinstance(payload, (dict, list)) else payload.to_dict()
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _send(self, status: int, data,
+              content_type: str = "application/json") -> None:
+        """Write one response, status line to body, in a single write.
 
-    def _send_text(self, status: int, text: str,
-                   content_type: str = "text/plain; charset=utf-8") -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        ``data`` is text sent as is, or a wire object / dict / list sent
+        as sorted-key JSON.
+        """
+        if isinstance(data, str):
+            body = data.encode("utf-8")
+        else:
+            payload = data if isinstance(data, (dict, list)) else data.to_dict()
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _send_error_envelope(self, status: int, code: str,
                              message: str) -> None:
-        self._send_json(
-            status,
-            ErrorEnvelope(code=code, message=message, status=status),
+        self._send(
+            status, ErrorEnvelope(code=code, message=message, status=status)
+        )
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer the stdlib's protocol errors with an envelope, then close."""
+        code = int(code)
+        self.close_connection = True
+        self._send_error_envelope(
+            code, "unsupported" if code >= 500 else "bad_request",
+            message or self.responses.get(code, ("",))[0],
         )
 
     def _read_body(self) -> Optional[bytes]:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        # The body stays unread, so the connection cannot carry another
+        # request: its bytes would be parsed as one.
+        self.close_connection = True
+        if length < 0:
             self._send_error_envelope(
                 400, "bad_request", "invalid Content-Length"
             )
-            return None
-        if length > MAX_BODY_BYTES:
+        else:
             self._send_error_envelope(
                 413, "payload_too_large",
                 f"body exceeds {MAX_BODY_BYTES} bytes",
             )
-            return None
-        return self.rfile.read(length)
+        return None
 
     # -- routes -----------------------------------------------------------------
 
@@ -117,9 +143,8 @@ class _Handler(BaseHTTPRequestHandler):
             # scraper asking for text/plain gets Prometheus exposition.
             if "text/plain" in self.headers.get("Accept", ""):
                 status, text = self.service.prometheus()
-                self._send_text(
-                    status, text,
-                    "text/plain; version=0.0.4; charset=utf-8",
+                self._send(
+                    status, text, "text/plain; version=0.0.4; charset=utf-8"
                 )
                 return
             status, payload = self.service.metrics()
@@ -137,7 +162,7 @@ class _Handler(BaseHTTPRequestHandler):
                 404, "not_found", f"no route {self.path!r}"
             )
             return
-        self._send_json(status, payload)
+        self._send(status, payload)
 
     def do_POST(self):  # noqa: N802 - stdlib routing convention
         body = self._read_body()
@@ -161,7 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_envelope(400, "bad_request", exception_text(exc))
             return
         status, payload = endpoint(request)
-        self._send_json(status, payload)
+        self._send(status, payload)
 
     def _explain(self, body: bytes) -> None:
         # /v1/explain speaks TranslateRequest plus one optional "sql"
@@ -184,7 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_envelope(400, "bad_request", exception_text(exc))
             return
         status, payload = self.service.explain(request, sql=sql)
-        self._send_json(status, payload)
+        self._send(status, payload)
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -233,3 +258,8 @@ class ReproServer(ThreadingHTTPServer):
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def handle_error(self, request, client_address) -> None:
+        """Drop a client hang-up (broken pipe, reset); print anything else."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)

@@ -250,6 +250,67 @@ class TestNoBlockingInHandler:
         assert self.run_scoped(tmp_path, source) == []
 
 
+class TestServeSingleWrite:
+    RULE = "py.serve-single-write"
+
+    def run_scoped(self, tmp_path, source, subdir="repro/serve"):
+        target = tmp_path / subdir
+        target.mkdir(parents=True, exist_ok=True)
+        (target / "mod.py").write_text(source)
+        engine = LintEngine(
+            root=tmp_path / "repro", rules={self.RULE: REGISTRY[self.RULE]}
+        )
+        return engine.run()
+
+    def test_split_writes_flagged(self, tmp_path):
+        source = (
+            "class H:\n"
+            "    def _send_json(self, data):\n"
+            "        self.end_headers()\n"
+            "        self.wfile.write(data)\n"
+            "    def _send_text(self, data):\n"
+            "        self.flush_headers()\n"
+        )
+        findings = self.run_scoped(tmp_path, source)
+        assert [(d.rule, d.span.line) for d in findings] == [
+            (self.RULE, 3), (self.RULE, 4), (self.RULE, 6),
+        ]
+        assert "self.wfile.write()" in findings[1].message
+
+    def test_one_write_in_the_writer_unflagged(self, tmp_path):
+        source = (
+            "class H:\n"
+            "    def _send(self, head, body):\n"
+            "        self.wfile.write(head + body)\n"
+            "    def log(self, stream, buf):\n"
+            "        stream.write('x')\n"
+            "        buf.write(b'y')\n"
+        )
+        assert self.run_scoped(tmp_path, source) == []
+
+    def test_second_write_in_the_writer_flagged(self, tmp_path):
+        source = (
+            "class H:\n"
+            "    def _send(self, body):\n"
+            "        self.end_headers()\n"
+            "        self.wfile.write(body)\n"
+        )
+        findings = self.run_scoped(tmp_path, source)
+        assert [d.span.line for d in findings] == [4]
+
+    def test_scoped_to_serving_package(self, tmp_path):
+        source = "def f(self):\n    self.end_headers()\n"
+        assert self.run_scoped(tmp_path, source, subdir="repro/eval") == []
+        assert len(self.run_scoped(tmp_path, source)) == 1
+
+    def test_waivable_per_line(self, tmp_path):
+        source = (
+            "def f(self):\n"
+            "    self.end_headers()  # noqa: serve-single-write\n"
+        )
+        assert self.run_scoped(tmp_path, source) == []
+
+
 class TestMetricNameConvention:
     RULE = "py.metric-name-convention"
 

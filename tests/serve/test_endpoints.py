@@ -1,6 +1,11 @@
 """HTTP endpoint round-trips over an ephemeral port with MockLLM."""
 
 import json
+import socket
+import statistics
+import struct
+import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -12,6 +17,7 @@ from repro.api.types import (
     TranslateResponse,
 )
 from repro.serve import ReproServer
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture()
@@ -43,6 +49,18 @@ def get(conn, path):
     conn.request("GET", path)
     response = conn.getresponse()
     return response.status, json.loads(response.read())
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes on a new socket; read until the server closes it."""
+    with socket.create_connection(server.address, timeout=3) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class TestTranslate:
@@ -222,3 +240,99 @@ class TestGets:
         # keep-alive works.
         assert get(client, "/v1/health")[0] == 200
         assert get(client, "/v1/health")[0] == 200
+
+    def test_keep_alive_round_trips_do_not_stall(self, client):
+        # A response written as head then body waits for the client's
+        # delayed ACK under Nagle's algorithm, ~40 ms a round trip; one
+        # write on a TCP_NODELAY socket takes well under a millisecond.
+        def malformed_translate():
+            client.request("POST", "/v1/translate", "{not json")
+            response = client.getresponse()
+            response.read()
+            return response.status
+
+        def median_ms(round_trip, expected):
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                assert round_trip() == expected
+                times.append((time.perf_counter() - start) * 1000.0)
+            return statistics.median(times)
+
+        assert median_ms(lambda: get(client, "/v1/health")[0], 200) < 20.0
+        assert median_ms(malformed_translate, 400) < 20.0
+
+
+class TestFraming:
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413),
+    ])
+    def test_refused_body_closes_connection(self, client, length, status):
+        # A negative length must not reach rfile.read(-1), which blocks
+        # until the client hangs up.  The refused body stays unread; on
+        # a reused connection its bytes would be parsed as the next
+        # request line.
+        client.putrequest("POST", "/v1/translate")
+        client.putheader("Content-Length", length)
+        client.endheaders(b'{"question": "q"}')
+        response = client.getresponse()
+        assert json.loads(response.read())["status"] == status
+        assert response.status == status
+        # http.client reconnects after "Connection: close".
+        client.request("GET", "/v1/health")
+        assert client.getresponse().status == 200
+        assert response.getheader("Connection") == "close"
+
+    @pytest.mark.parametrize("request_line, status, code", [
+        (b"BREW /v1/health HTTP/1.1", 501, "unsupported"),
+        (b"GET /v1/health HTTP/9", 400, "bad_request"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1", 414, "bad_request"),
+    ], ids=["unknown-method", "bad-version", "uri-too-long"])
+    def test_protocol_errors_are_envelopes(self, server, request_line,
+                                           status, code):
+        reply = raw_exchange(server, request_line + b"\r\nHost: t\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close" in head
+        assert ErrorEnvelope.from_dict(json.loads(body)).code == code
+
+
+class TestClientHangup:
+    def test_reset_before_response_is_silent(self, server, service,
+                                             monkeypatch, capfd):
+        entered, release, handled = (threading.Event() for _ in range(3))
+        health = service.health
+
+        def held_health():
+            entered.set()
+            release.wait(5)
+            return health()
+
+        handle_error = server.handle_error
+
+        def spy(request, client_address):
+            handle_error(request, client_address)
+            handled.set()
+
+        monkeypatch.setattr(service, "health", held_health)
+        monkeypatch.setattr(server, "handle_error", spy)
+        sock = socket.create_connection(server.address, timeout=5)
+        sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert entered.wait(5)
+        # Linger 0: close() resets the connection, so the response
+        # write that follows fails.
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        release.set()
+        assert handled.wait(5)
+        assert capfd.readouterr().err == ""
+
+    def test_other_errors_still_print(self, server, capfd):
+        try:
+            raise RuntimeError("handler bug")
+        except RuntimeError:
+            server.handle_error(None, ("127.0.0.1", 0))
+        assert "RuntimeError: handler bug" in capfd.readouterr().err
